@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"repro/internal/collective"
 	"repro/internal/obs"
 )
@@ -23,10 +21,6 @@ const (
 
 // Algorithms lists every collective algorithm.
 func Algorithms() []Alg { return collective.Algorithms() }
-
-func (r *Rank) tree(alg Alg, root int) *collective.Tree {
-	return alg.Tree(r.w.n, root)
-}
 
 // beginColl opens a per-rank collective-phase span named "op:alg" on
 // this rank's track; every message span the network emits for this
@@ -54,7 +48,8 @@ func (r *Rank) endColl(id obs.SpanID) {
 // treats the root's local copy as negligible).
 func (r *Rank) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 	defer r.endColl(r.beginColl("scatter", alg.String()))
-	return r.scatterTree(r.tree(alg, root), blocks)
+	g := r.world()
+	return g.scatter(r.collTag(opScatter), g.tree("scatter", alg, root), blocks, nil)
 }
 
 // ScatterTree distributes blocks over an explicit communication tree
@@ -64,61 +59,21 @@ func (r *Rank) Scatter(alg Alg, root int, blocks [][]byte) []byte {
 // span exactly the job's ranks.
 func (r *Rank) ScatterTree(tree *collective.Tree, blocks [][]byte) []byte {
 	defer r.endColl(r.beginColl("scatter", "tree"))
-	if tree.N != r.w.n {
-		badInput("scatter", "tree spans %d ranks, job has %d", tree.N, r.w.n)
-	}
-	return r.scatterTree(tree, blocks)
+	return r.world().scatter(r.collTag(opScatter), tree, blocks, nil)
 }
 
-func (r *Rank) scatterTree(tree *collective.Tree, blocks [][]byte) []byte {
-	tag := r.collTag(opScatter)
-	root := tree.Root
-	n := r.w.n
-	if n == 1 {
-		return blocks[root]
-	}
-
-	if r.rank == root {
-		bs := -1
-		if len(blocks) != n {
-			badInput("scatter", "root has %d blocks, want %d", len(blocks), n)
-		}
-		for _, b := range blocks {
-			if bs == -1 {
-				bs = len(b)
-			} else if len(b) != bs {
-				badInput("scatter", "blocks must have equal size (got %d and %d bytes)", bs, len(b))
-			}
-		}
-		for _, c := range tree.Children[root] {
-			r.send(c, tag, concatRel(blocks, tree, c))
-		}
-		return blocks[root]
-	}
-
-	payload, _ := r.Recv(tree.Parent[r.rank], tag)
-	size := tree.SubtreeSize[r.rank]
-	if size == 0 || len(payload)%size != 0 {
-		panic(fmt.Sprintf("mpi: scatter batch of %d bytes not divisible by subtree size %d", len(payload), size))
-	}
-	bs := len(payload) / size
-	lo, _ := tree.RelRange(r.rank)
-	for _, c := range tree.Children[r.rank] {
-		clo, chi := tree.RelRange(c)
-		r.send(c, tag, payload[(clo-lo)*bs:(chi-lo)*bs])
-	}
-	return payload[:bs]
-}
-
-// concatRel concatenates the blocks covered by child c's subtree in
-// relative-rank order.
-func concatRel(blocks [][]byte, tree *collective.Tree, c int) []byte {
-	lo, hi := tree.RelRange(c)
-	var out []byte
-	for rel := lo; rel < hi; rel++ {
-		out = append(out, blocks[(rel+tree.Root)%tree.N]...)
-	}
-	return out
+// Scatterv distributes variable-size blocks from root: counts[i] is the
+// byte count destined for rank i and must be identical on every rank
+// (as in MPI_Scatterv); blocks is meaningful only at the root, where
+// len(blocks[i]) must equal counts[i]. It returns this rank's block.
+//
+// Variable block sizes are the vehicle for heterogeneous data
+// distribution: giving each processor work proportional to its speed,
+// the optimization the paper's introduction motivates.
+func (r *Rank) Scatterv(alg Alg, root int, blocks [][]byte, counts []int) []byte {
+	defer r.endColl(r.beginColl("scatterv", alg.String()))
+	g := r.world()
+	return g.scatter(r.collTag(opScatter), g.tree("scatterv", alg, root), blocks, counts)
 }
 
 // Gather collects equal-size blocks from every rank at root using the
@@ -126,7 +81,8 @@ func concatRel(blocks [][]byte, tree *collective.Tree, c int) []byte {
 // rank; elsewhere it returns nil.
 func (r *Rank) Gather(alg Alg, root int, block []byte) [][]byte {
 	defer r.endColl(r.beginColl("gather", alg.String()))
-	return r.gatherTree(r.tree(alg, root), block)
+	g := r.world()
+	return g.gather(r.collTag(opGather), g.tree("gather", alg, root), block, nil)
 }
 
 // GatherTree collects equal-size blocks over an explicit communication
@@ -134,63 +90,25 @@ func (r *Rank) Gather(alg Alg, root int, block []byte) [][]byte {
 // Gather, exported for the same tuner candidates as ScatterTree.
 func (r *Rank) GatherTree(tree *collective.Tree, block []byte) [][]byte {
 	defer r.endColl(r.beginColl("gather", "tree"))
-	if tree.N != r.w.n {
-		badInput("gather", "tree spans %d ranks, job has %d", tree.N, r.w.n)
-	}
-	return r.gatherTree(tree, block)
+	return r.world().gather(r.collTag(opGather), tree, block, nil)
 }
 
-func (r *Rank) gatherTree(tree *collective.Tree, block []byte) [][]byte {
-	tag := r.collTag(opGather)
-	root := tree.Root
-	n := r.w.n
-	if n == 1 {
-		return [][]byte{append([]byte(nil), block...)}
-	}
-	bs := len(block)
-
-	// Assemble this subtree's batch in relative order, starting with
-	// our own block, then fill in children subtree batches as they come.
-	lo, hi := tree.RelRange(r.rank)
-	batch := make([]byte, (hi-lo)*bs)
-	copy(batch, block)
-	for range tree.Children[r.rank] {
-		payload, st := r.Recv(AnySource, tag)
-		clo, chi := tree.RelRange(st.Source)
-		if len(payload) != (chi-clo)*bs {
-			panic(fmt.Sprintf("mpi: gather batch from %d has %d bytes, want %d", st.Source, len(payload), (chi-clo)*bs))
-		}
-		copy(batch[(clo-lo)*bs:(chi-lo)*bs], payload)
-	}
-
-	if r.rank == root {
-		out := make([][]byte, n)
-		for rel := 0; rel < n; rel++ {
-			abs := (rel + root) % n
-			out[abs] = batch[rel*bs : (rel+1)*bs : (rel+1)*bs]
-		}
-		return out
-	}
-	r.send(tree.Parent[r.rank], tag, batch)
-	return nil
+// Gatherv collects variable-size blocks at root: every rank contributes
+// its block (len(block) must equal counts[rank]); counts must be
+// identical on every rank. At the root it returns n blocks indexed by
+// absolute rank, nil elsewhere.
+func (r *Rank) Gatherv(alg Alg, root int, block []byte, counts []int) [][]byte {
+	defer r.endColl(r.beginColl("gatherv", alg.String()))
+	g := r.world()
+	return g.gather(r.collTag(opGather), g.tree("gatherv", alg, root), block, counts)
 }
 
 // Bcast sends data from root to every rank over a binomial tree and
 // returns the data on every rank. data is meaningful only at the root.
 func (r *Rank) Bcast(root int, data []byte) []byte {
 	defer r.endColl(r.beginColl("bcast", "binomial"))
-	tag := r.collTag(opBcast)
-	tree := collective.Binomial(r.w.n, root)
-	if r.w.n == 1 {
-		return data
-	}
-	if r.rank != root {
-		data, _ = r.Recv(tree.Parent[r.rank], tag)
-	}
-	for _, c := range tree.Children[r.rank] {
-		r.send(c, tag, data)
-	}
-	return data
+	g := r.world()
+	return g.bcast(r.collTag(opBcast), g.tree("bcast", Binomial, root), data)
 }
 
 // Reduce combines every rank's block at the root over a binomial tree
@@ -219,17 +137,7 @@ func (r *Rank) Reduce(root int, block []byte, op func(a, b []byte) []byte) []byt
 // has real network cost, unlike HardSync.
 func (r *Rank) Barrier() {
 	defer r.endColl(r.beginColl("barrier", "dissemination"))
-	tag := r.collTag(opBarrier)
-	n := r.w.n
-	if n == 1 {
-		return
-	}
-	for k := 1; k < n; k <<= 1 {
-		to := (r.rank + k) % n
-		from := (r.rank - k + n) % n
-		r.send(to, tag, nil)
-		r.Recv(from, tag)
-	}
+	r.world().barrier(r.collTag(opBarrier))
 }
 
 // Allgather distributes every rank's block to every rank with the ring

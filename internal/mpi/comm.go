@@ -3,8 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/collective"
 )
 
 // Comm is a sub-communicator: an ordered subset of world ranks with its
@@ -16,11 +14,15 @@ import (
 // list (in the same order) and use it in lockstep, exactly like an MPI
 // communicator obtained from the same MPI_Comm_split call.
 type Comm struct {
-	r       *Rank
-	members []int // world ranks, comm rank = index
-	myRank  int   // this process's comm rank
-	seq     []int // per-world-rank collective sequence counters (lockstep)
-	id      int   // tag-space discriminator derived from the members
+	group            // members, comm rank = index into them
+	space *commSpace // the member set's tag space, from the world's registry
+}
+
+// commSpace is the world's registry entry for one member set, shared by
+// every Comm over that set.
+type commSpace struct {
+	id  int   // tag-space discriminator: registry order of first creation
+	seq []int // per-world-rank collective sequence counters (lockstep)
 }
 
 // CommOf builds the communicator containing the given world ranks (in
@@ -49,19 +51,24 @@ func (r *Rank) CommOf(members []int) (*Comm, error) {
 	}
 	key := commKey(members)
 	if r.w.commSeq == nil {
-		r.w.commSeq = map[string][]int{}
+		r.w.commSeq = map[string]*commSpace{}
 	}
-	seq, ok := r.w.commSeq[key]
+	sp, ok := r.w.commSeq[key]
 	if !ok {
-		seq = make([]int, r.w.n)
-		r.w.commSeq[key] = seq
+		// Ids follow the order in which member sets are first seen.
+		// The kernel runs one process at a time in a deterministic
+		// order, so every run assigns the same ids, and distinct sets
+		// never share a tag space.
+		sp = &commSpace{id: len(r.w.commSeq), seq: make([]int, r.w.n)}
+		r.w.commSeq[key] = sp
 	}
-	return &Comm{r: r, members: append([]int(nil), members...), myRank: my, seq: seq, id: commID(members)}, nil
+	g := group{r: r, members: append([]int(nil), members...), me: my}
+	return &Comm{group: g, space: sp}, nil
 }
 
-// commKey canonicalizes a member list for the shared-sequence registry
-// (order matters for rank numbering but not for the key: the same set
-// reuses the same sequence, preventing tag collisions between
+// commKey canonicalizes a member list for the shared registry (order
+// matters for rank numbering but not for the key: the same set reuses
+// the same tag space and sequence, preventing tag collisions between
 // same-set communicators created in different orders).
 func commKey(members []int) string {
 	s := append([]int(nil), members...)
@@ -69,22 +76,8 @@ func commKey(members []int) string {
 	return fmt.Sprint(s)
 }
 
-// commID folds the member set into a small tag-space discriminator.
-func commID(members []int) int {
-	h := 0
-	s := append([]int(nil), members...)
-	sort.Ints(s)
-	for _, m := range s {
-		h = h*31 + m + 1
-	}
-	if h < 0 {
-		h = -h
-	}
-	return h % 1021 // prime < 1024
-}
-
 // Rank returns this process's rank within the communicator.
-func (c *Comm) Rank() int { return c.myRank }
+func (c *Comm) Rank() int { return c.me }
 
 // Size returns the number of members.
 func (c *Comm) Size() int { return len(c.members) }
@@ -100,9 +93,9 @@ const commTagSpace = 1 << 30
 // within the comm keeps the counters aligned, exactly like the world
 // collectives' tags.
 func (c *Comm) nextTag(op int) int {
-	seq := c.seq[c.r.rank]
-	c.seq[c.r.rank]++
-	return commTagSpace + c.id*(1<<20) + (seq%(1<<16))*16 + op
+	seq := c.space.seq[c.r.rank]
+	c.space.seq[c.r.rank]++
+	return commTagSpace + c.space.id*(1<<20) + (seq%(1<<16))*16 + op
 }
 
 // Send transmits data to comm rank dst.
@@ -110,7 +103,7 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	if tag < 0 || tag > MaxUserTag {
 		badInput("send", "user tag %d out of range [0, %d]", tag, MaxUserTag)
 	}
-	c.r.send(c.members[dst], tag, data)
+	c.send(dst, tag, data)
 }
 
 // Recv receives from comm rank src (or AnySource) and returns the
@@ -118,118 +111,31 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 // non-members do not match a specific src; with AnySource they would —
 // callers mixing world point-to-point and comm traffic should
 // partition their tags.
-func (c *Comm) Recv(src, tag int) ([]byte, Status) {
-	worldSrc := src
-	if src != AnySource {
-		worldSrc = c.members[src]
-	}
-	data, st := c.r.Recv(worldSrc, tag)
-	st.Source = c.rankOfWorld(st.Source)
-	return data, st
-}
-
-func (c *Comm) rankOfWorld(w int) int {
-	for i, m := range c.members {
-		if m == w {
-			return i
-		}
-	}
-	return -1
-}
+func (c *Comm) Recv(src, tag int) ([]byte, Status) { return c.recv(src, tag) }
 
 // Scatter distributes blocks (indexed by comm rank, meaningful at the
 // root) over the communicator and returns this member's block.
 func (c *Comm) Scatter(alg Alg, root int, blocks [][]byte) []byte {
-	tag := c.nextTag(opScatter)
-	tree := alg.Tree(c.Size(), root)
-	n := c.Size()
-	if n == 1 {
-		return blocks[root]
-	}
-	if c.myRank == root {
-		if len(blocks) != n {
-			badInput("comm scatter", "root has %d blocks, want %d", len(blocks), n)
-		}
-		for _, cc := range tree.Children[root] {
-			c.r.send(c.members[cc], tag, concatRel(blocks, tree, cc))
-		}
-		return blocks[root]
-	}
-	payload, _ := c.r.Recv(c.members[tree.Parent[c.myRank]], tag)
-	size := tree.SubtreeSize[c.myRank]
-	if size == 0 || len(payload)%size != 0 {
-		panic("mpi: comm scatter batch not divisible")
-	}
-	bs := len(payload) / size
-	lo, _ := tree.RelRange(c.myRank)
-	for _, cc := range tree.Children[c.myRank] {
-		clo, chi := tree.RelRange(cc)
-		c.r.send(c.members[cc], tag, payload[(clo-lo)*bs:(chi-lo)*bs])
-	}
-	return payload[:bs]
+	defer c.r.endColl(c.r.beginColl("scatter", alg.String()))
+	return c.scatter(c.nextTag(opScatter), c.tree("scatter", alg, root), blocks, nil)
 }
 
 // Gather collects equal-size blocks at the comm root; the root receives
 // them indexed by comm rank, others get nil.
 func (c *Comm) Gather(alg Alg, root int, block []byte) [][]byte {
-	tag := c.nextTag(opGather)
-	tree := alg.Tree(c.Size(), root)
-	n := c.Size()
-	if n == 1 {
-		return [][]byte{append([]byte(nil), block...)}
-	}
-	bs := len(block)
-	lo, hi := tree.RelRange(c.myRank)
-	batch := make([]byte, (hi-lo)*bs)
-	copy(batch, block)
-	for range tree.Children[c.myRank] {
-		payload, st := c.Recv(AnySource, tag)
-		clo, chi := tree.RelRange(st.Source)
-		if len(payload) != (chi-clo)*bs {
-			panic("mpi: comm gather batch size mismatch")
-		}
-		copy(batch[(clo-lo)*bs:(chi-lo)*bs], payload)
-	}
-	if c.myRank == root {
-		out := make([][]byte, n)
-		for rel := 0; rel < n; rel++ {
-			abs := (rel + root) % n
-			out[abs] = batch[rel*bs : (rel+1)*bs : (rel+1)*bs]
-		}
-		return out
-	}
-	c.r.send(c.members[tree.Parent[c.myRank]], tag, batch)
-	return nil
+	defer c.r.endColl(c.r.beginColl("gather", alg.String()))
+	return c.gather(c.nextTag(opGather), c.tree("gather", alg, root), block, nil)
 }
 
 // Bcast sends data from the comm root to every member over a binomial
 // tree and returns it on every member.
 func (c *Comm) Bcast(root int, data []byte) []byte {
-	tag := c.nextTag(opBcast)
-	tree := collective.Binomial(c.Size(), root)
-	if c.Size() == 1 {
-		return data
-	}
-	if c.myRank != root {
-		data, _ = c.r.Recv(c.members[tree.Parent[c.myRank]], tag)
-	}
-	for _, cc := range tree.Children[c.myRank] {
-		c.r.send(c.members[cc], tag, data)
-	}
-	return data
+	defer c.r.endColl(c.r.beginColl("bcast", "binomial"))
+	return c.bcast(c.nextTag(opBcast), c.tree("bcast", Binomial, root), data)
 }
 
 // Barrier synchronizes the communicator's members (dissemination).
 func (c *Comm) Barrier() {
-	tag := c.nextTag(opBarrier)
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	for k := 1; k < n; k <<= 1 {
-		to := c.members[(c.myRank+k)%n]
-		from := c.members[(c.myRank-k+n)%n]
-		c.r.send(to, tag, nil)
-		c.r.Recv(from, tag)
-	}
+	defer c.r.endColl(c.r.beginColl("barrier", "dissemination"))
+	c.barrier(c.nextTag(opBarrier))
 }

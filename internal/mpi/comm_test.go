@@ -3,6 +3,9 @@ package mpi
 import (
 	"bytes"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestCommOfValidation(t *testing.T) {
@@ -190,6 +193,93 @@ func TestCommSequencesIsolated(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Overlapping member sets must get distinct tag spaces: otherwise rank
+// 5's gather message on {0,5}, sent while ranks 2 and 3 are still
+// computing, matches rank 0's open gather on {0,2,3}.
+func TestOverlappingCommsDoNotCrossMatch(t *testing.T) {
+	const n = 6
+	groupA := []int{0, 2, 3}
+	groupB := []int{0, 5}
+	gather := func(r *Rank, members []int) {
+		c, err := r.CommOf(members)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		block := bytes.Repeat([]byte{byte(10*len(members) + c.Rank())}, 16)
+		out := c.Gather(Linear, 0, block)
+		if c.Rank() != 0 {
+			return
+		}
+		for i := range out {
+			if want := bytes.Repeat([]byte{byte(10*len(members) + i)}, 16); !bytes.Equal(out[i], want) {
+				t.Errorf("comm %v: block %d = %v, want %v", members, i, out[i], want)
+			}
+		}
+	}
+	_, err := Run(testConfig(n), func(r *Rank) {
+		switch r.Rank() {
+		case 0:
+			gather(r, groupA)
+			gather(r, groupB)
+		case 2, 3:
+			r.Sleep(time.Millisecond)
+			gather(r, groupA)
+		case 5:
+			gather(r, groupB)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every form of a rooted collective opens one op:alg span per rank,
+// with that rank's message spans nested under it.
+func TestCollectiveSpansForCommAndVForms(t *testing.T) {
+	const n = 4
+	tr := obs.NewTrace()
+	cfg := testConfig(n)
+	cfg.Obs = tr
+	counts := []int{8, 0, 24, 16}
+	_, err := Run(cfg, func(r *Rank) {
+		c, err := r.CommOf([]int{3, 2, 1, 0})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c.Gather(Binomial, 0, make([]byte, 32))
+		r.Gatherv(Linear, 0, make([]byte, counts[r.Rank()]), counts)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	for _, name := range []string{"gather:binomial", "gatherv:linear"} {
+		for rank := 0; rank < n; rank++ {
+			var coll []obs.SpanID
+			for _, sp := range spans {
+				if sp.Cat == obs.CatCollective && sp.Name == name && sp.Track == rank {
+					coll = append(coll, sp.ID)
+				}
+			}
+			if len(coll) != 1 {
+				t.Errorf("%s: rank %d has %d collective spans, want 1", name, rank, len(coll))
+				continue
+			}
+			nested := 0
+			for _, sp := range spans {
+				if sp.Cat == obs.CatMessage && sp.Parent == coll[0] {
+					nested++
+				}
+			}
+			if nested == 0 {
+				t.Errorf("%s: rank %d has no message spans under its collective span", name, rank)
+			}
+		}
 	}
 }
 

@@ -18,33 +18,64 @@ func faultTestCluster(n int) *cluster.Cluster {
 func TestBadCollectiveInputReturnsInputError(t *testing.T) {
 	cases := []struct {
 		name string
+		n    int // ranks; 0 means 4
 		body func(r *Rank)
 	}{
-		{"scatter-block-count", func(r *Rank) {
+		{name: "scatter-block-count", body: func(r *Rank) {
 			var blocks [][]byte
 			if r.Rank() == 0 {
 				blocks = [][]byte{{1}, {2}} // 2 blocks for 4 ranks
 			}
 			r.Scatter(Linear, 0, blocks)
 		}},
-		{"scatter-unequal-blocks", func(r *Rank) {
+		{name: "scatter-unequal-blocks", body: func(r *Rank) {
 			var blocks [][]byte
 			if r.Rank() == 0 {
 				blocks = [][]byte{{1}, {2, 3}, {4}, {5}}
 			}
 			r.Scatter(Linear, 0, blocks)
 		}},
-		{"scatterv-counts", func(r *Rank) {
+		{name: "scatterv-counts", body: func(r *Rank) {
 			r.Scatterv(Linear, 0, nil, []int{1, 2}) // 2 counts for 4 ranks
 		}},
-		{"gatherv-block-size", func(r *Rank) {
+		{name: "gatherv-block-size", body: func(r *Rank) {
 			counts := []int{1, 1, 1, 1}
 			r.Gatherv(Linear, 0, []byte{1, 2, 3}, counts) // 3 bytes, counts say 1
 		}},
-		{"alltoall-blocks", func(r *Rank) {
+		{name: "scatter-root-range", body: func(r *Rank) {
+			r.Scatter(Linear, 9, nil)
+		}},
+		{name: "bcast-root-range", body: func(r *Rank) {
+			r.Bcast(-1, nil)
+		}},
+		{name: "scatter-single-rank-no-blocks", n: 1, body: func(r *Rank) {
+			r.Scatter(Linear, 0, nil)
+		}},
+		{name: "comm-scatter-unequal-blocks", body: func(r *Rank) {
+			c, err := r.CommOf([]int{0, 1, 2, 3})
+			if err != nil {
+				panic(err)
+			}
+			var blocks [][]byte
+			if c.Rank() == 0 {
+				blocks = [][]byte{{1}, {2, 3}, {4}, {5}}
+			}
+			c.Scatter(Linear, 0, blocks)
+		}},
+		{name: "gather-block-size", body: func(r *Rank) {
+			r.Gather(Linear, 0, make([]byte, 1+r.Rank()%2))
+		}},
+		{name: "comm-gather-block-size", body: func(r *Rank) {
+			c, err := r.CommOf([]int{3, 2, 1, 0})
+			if err != nil {
+				panic(err)
+			}
+			c.Gather(Binomial, 0, make([]byte, 1+c.Rank()%2))
+		}},
+		{name: "alltoall-blocks", body: func(r *Rank) {
 			r.Alltoall([][]byte{{1}}) // 1 block for 4 ranks
 		}},
-		{"send-tag-range", func(r *Rank) {
+		{name: "send-tag-range", body: func(r *Rank) {
 			if r.Rank() == 0 {
 				r.Send(1, MaxUserTag+1, nil)
 			}
@@ -52,7 +83,11 @@ func TestBadCollectiveInputReturnsInputError(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(Config{Cluster: faultTestCluster(4)}, tc.body)
+			n := tc.n
+			if n == 0 {
+				n = 4
+			}
+			_, err := Run(Config{Cluster: faultTestCluster(n)}, tc.body)
 			var ie *InputError
 			if !errors.As(err, &ie) {
 				t.Fatalf("Run returned %v, want *InputError", err)

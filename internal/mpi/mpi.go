@@ -56,9 +56,9 @@ type World struct {
 	sync *vtime.Barrier
 	seq  []int // per-rank collective sequence numbers (must stay in lockstep)
 
-	cells   map[int]*SharedCell // harness-level shared cells by call sequence
-	cellSeq []int               // per-rank SharedCell call counters
-	commSeq map[string][]int    // per-member-set, per-rank collective sequences for Comm
+	cells   map[int]*SharedCell   // harness-level shared cells by call sequence
+	cellSeq []int                 // per-rank SharedCell call counters
+	commSeq map[string]*commSpace // Comm tag spaces and sequences by member set
 
 	obs *obs.Trace // span observer shared by all ranks (nil = disabled)
 }
